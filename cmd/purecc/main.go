@@ -224,21 +224,7 @@ func main() {
 		fmt.Print(art.Stages.Final)
 		return
 	case "report":
-		fmt.Printf("verified pure functions: %s\n", strings.Join(sortedNames(art.Pure), ", "))
-		fmt.Printf("memoizable pure functions: %s\n", strings.Join(sortedNames(art.Memoizable), ", "))
-		fmt.Printf("SCoPs: %d\n", art.SCoPs)
-		fmt.Printf("fused kernels: %d\n", prog.FusedKernels())
-		fmt.Printf("elided checks: %d\n", prog.ElidedChecks())
-		if instrs, consts, temps := prog.TapeStats(); prog.Engine() == comp.EngineTape {
-			fmt.Printf("tape: %d instructions, %d pooled constants, %d temp slots\n",
-				instrs, consts, temps)
-		}
-		if art.Report != nil {
-			fmt.Print(art.Report.String())
-		}
-		for _, r := range art.Rejections {
-			fmt.Printf("rejected: %s\n", r)
-		}
+		fmt.Print(core.ReportText(prog, art))
 		return
 	case "pure":
 		fmt.Println(strings.Join(sortedNames(art.Pure), "\n"))

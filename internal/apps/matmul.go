@@ -63,6 +63,60 @@ int main(void) {
 }
 `
 
+// MatmulChecksumSrc is Listing 7 with a salted initialization and a
+// checksum print: the purecd cold-build and disk-spill template
+// (purecdbench), which defines BUILD_ID per program to make each cache
+// key distinct without changing the output.
+const MatmulChecksumSrc = `
+float **A, **Bt, **C;
+
+pure float mult(float a, float b) {
+    return a * b;
+}
+
+pure float dot(pure float* a, pure float* b, int size) {
+    float res = 0.0f;
+    for (int i = 0; i < size; ++i)
+        res += mult(a[i], b[i]);
+    return res;
+}
+
+void initmat(void) {
+    A = (float**)malloc(N * sizeof(float*));
+    Bt = (float**)malloc(N * sizeof(float*));
+    C = (float**)malloc(N * sizeof(float*));
+    for (int i = 0; i < N; i++) {
+        A[i] = (float*)malloc(N * sizeof(float));
+        Bt[i] = (float*)malloc(N * sizeof(float));
+        C[i] = (float*)malloc(N * sizeof(float));
+    }
+    for (int i = 0; i < N; i++)
+        for (int j = 0; j < N; j++) {
+            A[i][j] = (float)((i + j + SALT) % 13) * 0.25f;
+            Bt[i][j] = (float)((i - j + SALT) % 7) * 0.5f;
+        }
+}
+
+int main(void) {
+    initmat();
+    for (int i = 0; i < N; ++i)
+        for (int j = 0; j < N; ++j)
+            C[i][j] = dot((pure float*)A[i], (pure float*)Bt[j], N);
+    int cs = 0;
+    for (int i = 0; i < N; i++)
+        for (int j = 0; j < N; j++)
+            cs = (cs * 31 + (int)(C[i][j] * 8.0f)) % 1000003;
+    printf("matmul n=%d salt=%d checksum=%d\n", N, SALT, cs);
+    return 0;
+}
+`
+
+// MatmulChecksumDefines sizes MatmulChecksumSrc: n×n matrices, the
+// initialization salt and a build id that only changes the cache key.
+func MatmulChecksumDefines(n, salt int, buildID string) map[string]string {
+	return map[string]string{"N": fmt.Sprintf("%d", n), "SALT": fmt.Sprintf("%d", salt), "BUILD_ID": buildID}
+}
+
 // MatmulNoInitParSrc is the pure variant with the matrix allocation
 // manually excluded from parallelization (the black bars of Fig. 3): an
 // impure no-op call in the malloc loop keeps it out of every SCoP.

@@ -24,6 +24,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"sync/atomic"
 
 	"purec/internal/ast"
@@ -334,6 +336,35 @@ func Front(src string, cfg Config) (*Artifact, error) {
 		res.Memoizable = append(res.Memoizable, name)
 	}
 	return res, nil
+}
+
+// ReportText renders the purecc -emit report view of a build: the
+// verified and memoizable pure functions, the SCoP count, the fused
+// kernels and elided checks of prog, tape statistics for tape builds,
+// the per-nest transform report and the rejected loops.
+func ReportText(prog *comp.Program, art *Artifact) string {
+	var b strings.Builder
+	sorted := func(ns []string) string {
+		out := append([]string{}, ns...)
+		sort.Strings(out)
+		return strings.Join(out, ", ")
+	}
+	fmt.Fprintf(&b, "verified pure functions: %s\n", sorted(art.Pure))
+	fmt.Fprintf(&b, "memoizable pure functions: %s\n", sorted(art.Memoizable))
+	fmt.Fprintf(&b, "SCoPs: %d\n", art.SCoPs)
+	fmt.Fprintf(&b, "fused kernels: %d\n", prog.FusedKernels())
+	fmt.Fprintf(&b, "elided checks: %d\n", prog.ElidedChecks())
+	if instrs, consts, temps := prog.TapeStats(); prog.Engine() == comp.EngineTape {
+		fmt.Fprintf(&b, "tape: %d instructions, %d pooled constants, %d temp slots\n",
+			instrs, consts, temps)
+	}
+	if art.Report != nil {
+		b.WriteString(art.Report.String())
+	}
+	for _, r := range art.Rejections {
+		fmt.Fprintf(&b, "rejected: %s\n", r)
+	}
+	return b.String()
 }
 
 // markBoundedStars transfers the analysis' bounds proofs onto the star

@@ -429,10 +429,10 @@ func rewriteSkewedBody(sc *scop.SCoP, i, j string, f int64) {
 func skewedName(j string) string { return j + "_sk" }
 
 // astName converts poly iterator names (which may contain primes from
-// skewing) to valid C identifiers.
+// skewing, also inside a tile iterator like j'T) to valid C identifiers.
 func astName(v string) string {
-	if strings.HasSuffix(v, "'") {
-		return skewedName(strings.TrimSuffix(v, "'"))
+	if base, rest, ok := strings.Cut(v, "'"); ok {
+		return skewedName(base) + rest
 	}
 	return v
 }

@@ -204,6 +204,32 @@ func TestSkewingEnablesInnerParallelism(t *testing.T) {
 	}
 }
 
+// A skewed nest that is then tiled gets a tile loop over the primed
+// iterator (j'T in the poly layer); its printed name must be a valid
+// identifier so the transformed source reparses.
+func TestSkewedTilingPrintsValidIdentifiers(t *testing.T) {
+	info, scops := prep(t, skewSrc)
+	sc := mainSCoP(t, scops)
+	rep, err := Parallelize([]*scop.SCoP{sc}, Options{Skew: true, Tile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr := rep.Loops[0]; !lr.Skewed || !lr.Tiled {
+		t.Fatalf("expected a skewed and tiled nest: %+v", lr)
+	}
+	out := ast.Print(info.File)
+	if !strings.Contains(out, "j_skT") {
+		t.Fatalf("skewed tile iterator missing:\n%s", out)
+	}
+	f2, err := parser.Parse("out.c", out)
+	if err != nil {
+		t.Fatalf("skewed tiled source does not parse: %v\n%s", err, out)
+	}
+	if _, err := sema.Check(f2); err != nil {
+		t.Fatalf("skewed tiled source does not typecheck: %v\n%s", err, out)
+	}
+}
+
 func TestReportString(t *testing.T) {
 	_, scops := prep(t, matmulSrc)
 	sc := mainSCoP(t, scops)
