@@ -151,8 +151,7 @@ func (n *Nest) Points(params map[string]int64) [][]int64 {
 		for i := 0; i < level; i++ {
 			cur.AddEQ(Var(n.Iters[i]).Sub(NewAffine(env[n.Iters[i]])))
 		}
-		inner := append([]string{}, n.Iters[level+1:]...)
-		cur = cur.EliminateAll(inner)
+		// Bounds projects out the inner iterators.
 		lo, hasLo, hi, hasHi := cur.Bounds(n.Iters[level])
 		if !hasLo || !hasHi {
 			return
@@ -252,134 +251,4 @@ func (d *Dep) String() string {
 	}
 	return fmt.Sprintf("%s dep on %s S%d->S%d level %d dist (%s)%s",
 		d.Kind, d.Array, d.Src.ID, d.Dst.ID, d.Level, strings.Join(parts, ","), suffix)
-}
-
-const srcSuffix = "$s"
-const dstSuffix = "$t"
-
-// AnalyzeDeps computes all dependences of the nest: for every pair of
-// accesses to the same array with at least one write, and every carrying
-// level, it builds the dependence polyhedron (both instances in the
-// domain, equal subscripts, source lexicographically before target) and
-// tests emptiness with Fourier–Motzkin. Non-empty systems yield a Dep
-// with its distance vector bounds.
-func AnalyzeDeps(n *Nest) []*Dep {
-	var deps []*Dep
-	for _, s1 := range n.Stmts {
-		for _, s2 := range n.Stmts {
-			for _, a1 := range s1.Accesses() {
-				for _, a2 := range s2.Accesses() {
-					if a1.Array != a2.Array || (!a1.Write && !a2.Write) {
-						continue
-					}
-					if !a1.Star && !a2.Star && len(a1.Subs) != len(a2.Subs) {
-						continue
-					}
-					deps = append(deps, depsForPair(n, s1, s2, a1, a2)...)
-				}
-			}
-		}
-	}
-	return deps
-}
-
-// depsForPair finds the dependences with source access a1 in s1 and
-// target access a2 in s2.
-func depsForPair(n *Nest, s1, s2 *Statement, a1, a2 Access) []*Dep {
-	base := NewSystem()
-	rename := func(suffix string) func(string) string {
-		return func(v string) string {
-			if n.isIter(v) {
-				return v + suffix
-			}
-			return v // parameters shared
-		}
-	}
-	for _, c := range n.Domain.Cons {
-		base.Add(Constraint{Expr: c.Expr.Rename(rename(srcSuffix)), Rel: c.Rel})
-		base.Add(Constraint{Expr: c.Expr.Rename(rename(dstSuffix)), Rel: c.Rel})
-	}
-	// A star access may touch any cell, so no subscript equation can
-	// constrain the dependence polyhedron: every instance pair that the
-	// ordering admits conflicts conservatively.
-	if !a1.Star && !a2.Star {
-		for k := range a1.Subs {
-			eq := a1.Subs[k].Rename(rename(srcSuffix)).Sub(a2.Subs[k].Rename(rename(dstSuffix)))
-			base.AddEQ(eq)
-		}
-	}
-	kind := classifyDep(a1, a2)
-	reduction := a1.Reduction && a2.Reduction
-	var out []*Dep
-	// Carried at level l: outer iterators equal, level-l source < target.
-	for l := 1; l <= n.Depth(); l++ {
-		sys := base.Clone()
-		for k := 0; k < l-1; k++ {
-			it := n.Iters[k]
-			sys.AddEQ(Var(it + srcSuffix).Sub(Var(it + dstSuffix)))
-		}
-		it := n.Iters[l-1]
-		// dst - src >= 1
-		sys.AddGE(Var(it + dstSuffix).Sub(Var(it + srcSuffix)).Sub(NewAffine(1)))
-		if sys.IsEmpty() {
-			continue
-		}
-		out = append(out, &Dep{
-			Src: s1, Dst: s2, Array: a1.Array, Level: l, Kind: kind,
-			Dist: distVector(n, sys), Reduction: reduction,
-		})
-	}
-	// Loop-independent dependence: same iteration, s1 textually before s2
-	// (or a write/read pair within one statement).
-	if s1.Seq < s2.Seq || (s1 == s2 && a1.Write != a2.Write) {
-		sys := base.Clone()
-		for _, it := range n.Iters {
-			sys.AddEQ(Var(it + srcSuffix).Sub(Var(it + dstSuffix)))
-		}
-		if !sys.IsEmpty() && s1.Seq < s2.Seq {
-			out = append(out, &Dep{
-				Src: s1, Dst: s2, Array: a1.Array, Level: 0, Kind: kind,
-				Dist: zeroDist(n.Depth()), Reduction: reduction,
-			})
-		}
-	}
-	return out
-}
-
-func classifyDep(a1, a2 Access) DepKind {
-	switch {
-	case a1.Write && a2.Write:
-		return Output
-	case a1.Write:
-		return Flow
-	default:
-		return Anti
-	}
-}
-
-func zeroDist(d int) []DistEntry {
-	out := make([]DistEntry, d)
-	for i := range out {
-		out[i] = DistEntry{Known: true}
-	}
-	return out
-}
-
-// distVector computes per-level bounds of dst−src over the dependence
-// polyhedron sys.
-func distVector(n *Nest, sys *System) []DistEntry {
-	out := make([]DistEntry, n.Depth())
-	for k, it := range n.Iters {
-		cur := sys.Clone()
-		delta := "delta$" + it
-		cur.AddEQ(Var(delta).Sub(Var(it + dstSuffix)).Add(Var(it + srcSuffix)))
-		lo, hasLo, hi, hasHi := cur.Bounds(delta)
-		e := DistEntry{Min: lo, Max: hi, HasMin: hasLo, HasMax: hasHi}
-		if hasLo && hasHi && lo == hi {
-			e.Known = true
-			e.Val = lo
-		}
-		out[k] = e
-	}
-	return out
 }

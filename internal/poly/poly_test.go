@@ -1,6 +1,8 @@
 package poly
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -98,8 +100,7 @@ func TestEliminationProjection(t *testing.T) {
 	s.AddUpperBound("i", NewAffine(9))
 	s.AddLowerBound("j", Var("i"))
 	s.AddUpperBound("j", Var("i").Add(NewAffine(2)))
-	p := s.Eliminate("j")
-	lo, hasLo, hi, hasHi := p.Bounds("i")
+	lo, hasLo, hi, hasHi := s.Bounds("i") // projects j out
 	if !hasLo || !hasHi || lo != 0 || hi != 9 {
 		t.Fatalf("bounds after projection: [%d(%v), %d(%v)]", lo, hasLo, hi, hasHi)
 	}
@@ -140,13 +141,20 @@ func TestEliminationSoundProperty(t *testing.T) {
 		s.AddUpperBound("x", NewAffine(int64(c1)%5+7))
 		s.AddLowerBound("y", Var("x").Scale(int64(seed%3)-1).Add(NewAffine(int64(c2)%4)))
 		s.AddUpperBound("y", Var("x").Add(NewAffine(int64(c3)%6+6)))
-		p := s.Eliminate("y")
+		sp, m := s.dense() // columns x, y
+		var f fm
+		p, _ := f.eliminate(m, sp.col("y"))
 		// every (x,y) in s must leave x in p
 		for x := int64(-10); x <= 20; x++ {
 			for y := int64(-20); y <= 30; y++ {
 				env := map[string]int64{"x": x, "y": y}
-				if s.Satisfies(env) && !p.Satisfies(map[string]int64{"x": x}) {
-					return false
+				if !s.Satisfies(env) {
+					continue
+				}
+				for i := 0; i < p.n(); i++ {
+					if r := p.row(i); r[0]*x+r[2] < 0 {
+						return false
+					}
 				}
 			}
 		}
@@ -322,6 +330,196 @@ func TestDepsMatchBruteForceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+	// Random 1–3-D nests (rectangular, triangular and parametric
+	// domains, multi-dimensional subscripts, scalars, star accesses):
+	// every conflicting instance pair brute force finds must be covered
+	// by a reported dependence at its level whose distance entries
+	// contain the pair's distance.
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 300; i++ {
+		n := randomNest(r)
+		if msg := bruteForceMiss(n, AnalyzeDeps(n)); msg != "" {
+			t.Fatalf("nest %d: %s\n%s", i, msg, describeNest(n))
+		}
+	}
+}
+
+// bruteForceMiss enumerates every ordered pair of statement instances
+// (with N = randParam) and returns a description of the first conflict
+// no dependence in deps covers, or "".
+func bruteForceMiss(n *Nest, deps []*Dep) string {
+	pts := n.Points(map[string]int64{"N": randParam})
+	type inst struct {
+		st  *Statement
+		acc Access
+		sub [][]int64 // subscript values per point
+	}
+	var insts []inst
+	for _, st := range n.Stmts {
+		for _, a := range st.Accesses() {
+			in := inst{st: st, acc: a}
+			for _, p := range pts {
+				env := map[string]int64{"N": randParam}
+				for k, it := range n.Iters {
+					env[it] = p[k]
+				}
+				vals := make([]int64, len(a.Subs))
+				for k, s := range a.Subs {
+					vals[k] = s.Eval(env)
+				}
+				in.sub = append(in.sub, vals)
+			}
+			insts = append(insts, in)
+		}
+	}
+	covered := func(src, dst inst, level int, p, q []int64) bool {
+		for _, d := range deps {
+			if d.Src != src.st || d.Dst != dst.st || d.Array != src.acc.Array ||
+				d.Level != level || d.Kind != classifyDep(src.acc, dst.acc) {
+				continue
+			}
+			ok := true
+			for k, e := range d.Dist {
+				dist := q[k] - p[k]
+				switch {
+				case e.Known:
+					ok = ok && dist == e.Val
+				default:
+					ok = ok && (!e.HasMin || dist >= e.Min) && (!e.HasMax || dist <= e.Max)
+				}
+			}
+			if ok {
+				return true
+			}
+		}
+		return false
+	}
+	// Conflicts repeat the same (accesses, level, distance) many times;
+	// each is checked once.
+	type key struct {
+		src, dst, level int
+		dist            [3]int64
+	}
+	seen := map[key]bool{}
+	for si, src := range insts {
+		for di, dst := range insts {
+			a1, a2 := src.acc, dst.acc
+			if a1.Array != a2.Array || (!a1.Write && !a2.Write) {
+				continue
+			}
+			if !a1.Star && !a2.Star && len(a1.Subs) != len(a2.Subs) {
+				continue
+			}
+			for pi, p := range pts {
+				for qi, q := range pts {
+					level := 0
+					for k := range p {
+						if p[k] != q[k] {
+							level = k + 1
+							break
+						}
+					}
+					switch {
+					case level == 0 && src.st.Seq >= dst.st.Seq:
+						continue // same instance: only textual order carries
+					case level > 0 && p[level-1] > q[level-1]:
+						continue // target before source
+					}
+					conflict := true
+					if !a1.Star && !a2.Star {
+						for k := range src.sub[pi] {
+							conflict = conflict && src.sub[pi][k] == dst.sub[qi][k]
+						}
+					}
+					if !conflict {
+						continue
+					}
+					k := key{src: si, dst: di, level: level}
+					for x := range p {
+						k.dist[x] = q[x] - p[x]
+					}
+					if seen[k] {
+						continue
+					}
+					seen[k] = true
+					if !covered(src, dst, level, p, q) {
+						return fmt.Sprintf("%s in S%d at %v conflicts with %s in S%d at %v, level %d: no dependence covers it",
+							a1, src.st.ID, p, a2, dst.st.ID, q, level)
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestPretestsAgreeWithFM runs Fourier–Motzkin on the full level system
+// of every access pair and level that a pre-test decided (ZIV/GCD
+// independence, or a strong-SIV contradiction) and checks FM finds the
+// same system empty. Without that agreement the pre-tests could change
+// the dependence set.
+func TestPretestsAgreeWithFM(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	decided := 0
+	for i := 0; i < 500; i++ {
+		n := randomNest(r)
+		e := newDepEngine(n)
+		for _, s1 := range n.Stmts {
+			for _, s2 := range n.Stmts {
+				for _, a1 := range s1.Accesses() {
+					for _, a2 := range s2.Accesses() {
+						if a1.Array != a2.Array || a1.Star || a2.Star || len(a1.Subs) != len(a2.Subs) || len(a1.Subs) == 0 {
+							continue
+						}
+						if !e.equations(a1, a2) {
+							continue
+						}
+						indep := e.pretest()
+						for l := 0; l <= n.Depth(); l++ {
+							if !indep && !e.sivEmpty(l) {
+								continue
+							}
+							decided++
+							var f fm
+							if !f.empty(levelSystem(e, l)) {
+								t.Fatalf("nest %d: pair %s / %s level %d: pre-test says empty (independent=%v), FM does not\n%s",
+									i, a1, a2, l, indep, describeNest(n))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d pre-test decisions checked against FM", decided)
+	if decided < 1000 {
+		t.Fatalf("only %d pre-test decisions exercised", decided)
+	}
+}
+
+// levelSystem builds, from scratch, the system the engine decides for
+// level l of its current pair (0 = loop-independent): domain, subscript
+// equations, equal outer iterators and the carrying row.
+func levelSystem(e *depEngine, l int) *rows {
+	sys := &rows{w: e.w}
+	sys.data = append(sys.data, e.dom.data...)
+	for off := 0; off < len(e.eqs.data); off += e.w {
+		sys.addEQ(e.eqs.data[off : off+e.w])
+	}
+	outer := l - 1
+	if l == 0 {
+		outer = e.n.Depth()
+	}
+	for k := 0; k < outer; k++ {
+		r := make([]int64, e.w)
+		r[e.src[k]], r[e.dst[k]] = 1, -1
+		sys.addEQ(r)
+	}
+	if l > 0 {
+		r := sys.add()
+		r[e.dst[l-1]], r[e.src[l-1]], r[e.w-1] = 1, -1, -1
+	}
+	return sys
 }
 
 // --- Loop generation ---

@@ -202,9 +202,10 @@ type GenNest struct {
 // parallel marks the per-level parallel flags (may be nil).
 func Generate(n *Nest, parallel []bool) (*GenNest, error) {
 	g := &GenNest{Nest: n}
+	sp, m := n.Domain.dense()
+	var f fm
 	for k, it := range n.Iters {
-		elim := append([]string{}, n.Iters[k+1:]...)
-		lowers, uppers := n.Domain.SymbolicBounds(it, elim)
+		lowers, uppers := f.symbolicBounds(sp, m, it, n.Iters[k+1:])
 		if len(lowers) == 0 || len(uppers) == 0 {
 			return nil, fmt.Errorf("iterator %s has no finite bounds", it)
 		}

@@ -29,10 +29,11 @@ func (c Constraint) String() string {
 	return c.Expr.String() + " >= 0"
 }
 
-// System is a conjunction of affine constraints over named variables.
-// It supports Fourier–Motzkin elimination, satisfiability testing (over
-// the rationals, a sound over-approximation for integer emptiness as used
-// in dependence testing) and bound extraction.
+// System is a conjunction of affine constraints over named variables:
+// the construction type of iteration domains. Satisfiability testing
+// (over the rationals, a sound over-approximation for integer emptiness
+// as used in dependence testing) and bound extraction convert it to
+// dense rows (dense.go) and run Fourier–Motzkin elimination there.
 type System struct {
 	Cons []Constraint
 }
@@ -70,15 +71,13 @@ func (s *System) AddUpperBound(v string, bound Affine) {
 
 // Vars returns all variables referenced by the system, sorted.
 func (s *System) Vars() []string {
-	set := map[string]bool{}
+	var vs []string
 	for _, c := range s.Cons {
 		for v := range c.Expr.Coef {
-			set[v] = true
+			if !contains(vs, v) {
+				vs = append(vs, v)
+			}
 		}
-	}
-	vs := make([]string, 0, len(set))
-	for v := range set {
-		vs = append(vs, v)
 	}
 	sort.Strings(vs)
 	return vs
@@ -107,21 +106,6 @@ func (s *System) Satisfies(env map[string]int64) bool {
 	return true
 }
 
-// normalizeEqs rewrites EQ constraints as two GE constraints, returning a
-// GE-only system.
-func (s *System) normalizeEqs() *System {
-	out := NewSystem()
-	for _, c := range s.Cons {
-		if c.Rel == EQ {
-			out.AddGE(c.Expr.Clone())
-			out.AddGE(c.Expr.Scale(-1))
-			continue
-		}
-		out.AddGE(c.Expr.Clone())
-	}
-	return out
-}
-
 // gcd returns the (non-negative) greatest common divisor.
 func gcd(a, b int64) int64 {
 	if a < 0 {
@@ -136,128 +120,12 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// normalizeRow divides a GE row by the gcd of its coefficients, tightening
-// the constant with integer floor division (a valid integer tightening).
-func normalizeRow(e Affine) Affine {
-	var g int64
-	for _, c := range e.Coef {
-		g = gcd(g, c)
-	}
-	if g <= 1 {
-		return e
-	}
-	r := NewAffine(floorDiv(e.Const, g))
-	for k, c := range e.Coef {
-		r.Coef[k] = c / g
-	}
-	return r
-}
-
 func floorDiv(a, b int64) int64 {
 	q := a / b
 	if (a%b != 0) && ((a < 0) != (b < 0)) {
 		q--
 	}
 	return q
-}
-
-// Eliminate projects out variable v using Fourier–Motzkin elimination and
-// returns the projected system. The projection is exact over the
-// rationals and an over-approximation over the integers.
-func (s *System) Eliminate(v string) *System {
-	ge := s.normalizeEqs()
-	var lowers, uppers, rest []Affine
-	for _, c := range ge.Cons {
-		coef := c.Expr.CoefOf(v)
-		switch {
-		case coef > 0:
-			lowers = append(lowers, c.Expr) // c·v + r >= 0  →  v >= -r/c
-		case coef < 0:
-			uppers = append(uppers, c.Expr) // -c·v + r >= 0 →  v <= r/c
-		default:
-			rest = append(rest, c.Expr)
-		}
-	}
-	out := NewSystem()
-	for _, r := range rest {
-		out.AddGE(normalizeRow(r))
-	}
-	for _, lo := range lowers {
-		cl := lo.CoefOf(v)
-		for _, up := range uppers {
-			cu := -up.CoefOf(v)
-			// combine: cu*lo + cl*up eliminates v
-			comb := lo.Scale(cu).Add(up.Scale(cl))
-			delete(comb.Coef, v)
-			out.AddGE(normalizeRow(comb))
-		}
-	}
-	return out
-}
-
-// EliminateAll projects out every variable in vs, in order.
-func (s *System) EliminateAll(vs []string) *System {
-	cur := s
-	for _, v := range vs {
-		cur = cur.Eliminate(v)
-	}
-	return cur
-}
-
-// IsEmpty reports whether the system has no rational solution: after
-// eliminating every variable, some constant constraint is violated.
-// Empty here is definitive; "not empty" may still be integer-empty, which
-// is a safe over-approximation for dependence analysis (a spurious
-// dependence can only suppress a parallelization, never break one).
-func (s *System) IsEmpty() bool {
-	cur := s.normalizeEqs()
-	for {
-		vars := cur.Vars()
-		// Check constant rows as soon as they appear.
-		for _, c := range cur.Cons {
-			if c.Expr.IsConst() && c.Expr.Const < 0 {
-				return true
-			}
-		}
-		if len(vars) == 0 {
-			return false
-		}
-		cur = cur.Eliminate(vars[0])
-	}
-}
-
-// Bounds computes the rational lower and upper bounds of variable v over
-// the system by eliminating all other variables. Unbounded directions
-// report ok=false for the respective side.
-func (s *System) Bounds(v string) (lo int64, hasLo bool, hi int64, hasHi bool) {
-	cur := s.normalizeEqs()
-	for _, other := range cur.Vars() {
-		if other != v {
-			cur = cur.Eliminate(other)
-		}
-	}
-	hasLo, hasHi = false, false
-	for _, c := range cur.Cons {
-		coef := c.Expr.CoefOf(v)
-		if coef == 0 {
-			continue
-		}
-		// coef·v + const >= 0
-		if coef > 0 {
-			// v >= ceil(-const/coef)
-			b := ceilDiv(-c.Expr.Const, coef)
-			if !hasLo || b > lo {
-				lo, hasLo = b, true
-			}
-		} else {
-			// v <= floor(const/(-coef))
-			b := floorDiv(c.Expr.Const, -coef)
-			if !hasHi || b < hi {
-				hi, hasHi = b, true
-			}
-		}
-	}
-	return lo, hasLo, hi, hasHi
 }
 
 func ceilDiv(a, b int64) int64 {
@@ -268,28 +136,91 @@ func ceilDiv(a, b int64) int64 {
 	return q
 }
 
+// dense converts the system to rows over the space of its variables.
+func (s *System) dense() (space, *rows) {
+	sp := spaceOf(s.Vars())
+	m := newRows(len(sp.names) + 1)
+	for _, c := range s.Cons {
+		m.addConstraint(c, sp.col)
+	}
+	return sp, m
+}
+
+// IsEmpty reports whether the system has no rational solution: after
+// Fourier–Motzkin elimination of every variable (in sorted name order,
+// tightening each derived row to integers), some constant constraint is
+// violated. Empty here is definitive; "not empty" may still be
+// integer-empty, which is a safe over-approximation for dependence
+// analysis (a spurious dependence can only suppress a parallelization,
+// never break one).
+func (s *System) IsEmpty() bool {
+	_, m := s.dense()
+	var f fm
+	return f.empty(m)
+}
+
+// Bounds computes the rational lower and upper bounds of variable v over
+// the system by eliminating all other variables. Unbounded directions
+// report ok=false for the respective side.
+func (s *System) Bounds(v string) (lo int64, hasLo bool, hi int64, hasHi bool) {
+	sp, m := s.dense()
+	c := sp.col(v)
+	if c < 0 {
+		return 0, false, 0, false
+	}
+	var f fm
+	return f.bounds(m, c)
+}
+
 // SymbolicBounds extracts, for variable v, the set of affine lower and
 // upper bound expressions implied by the system in terms of the remaining
-// variables (after eliminating the variables listed in elim). Each
-// returned bound is the affine rhs of v >= lb or v <= ub, with the
+// variables (after eliminating the variables listed in elim, in order).
+// Each returned bound is the affine rhs of v >= lb or v <= ub, with the
 // convention that integer division is rounded toward the feasible side.
 // This is the code-generation step (CLooG's role): loop bounds for
 // transformed iterators are max(lowers) .. min(uppers).
 func (s *System) SymbolicBounds(v string, elim []string) (lowers, uppers []Bound) {
-	cur := s.normalizeEqs().EliminateAll(elim)
-	for _, c := range cur.Cons {
-		coef := c.Expr.CoefOf(v)
+	sp, m := s.dense()
+	var f fm
+	return f.symbolicBounds(sp, m, v, elim)
+}
+
+// symbolicBounds is SymbolicBounds over the rows m of space sp; m is
+// not modified.
+func (f *fm) symbolicBounds(sp space, m *rows, v string, elim []string) (lowers, uppers []Bound) {
+	f.exact = true
+	cur := m
+	for _, e := range elim {
+		cur, _ = f.eliminate(cur, sp.col(e))
+	}
+	vc := sp.col(v)
+	if vc < 0 {
+		return nil, nil
+	}
+	cst := cur.w - 1
+	for off := 0; off < len(cur.data); off += cur.w {
+		r := cur.data[off : off+cur.w]
+		coef := r[vc]
 		if coef == 0 {
 			continue
 		}
-		rest := c.Expr.Clone()
-		delete(rest.Coef, v)
+		// rest = the row without v; coef·v + rest >= 0.
+		sign := int64(1)
+		if coef > 0 {
+			sign = -1
+		}
+		b := NewAffine(sign * r[cst])
+		for c, k := range r[:cst] {
+			if k != 0 && c != vc {
+				b.Coef[sp.names[c]] = sign * k
+			}
+		}
 		if coef > 0 {
 			// coef·v >= -rest  →  v >= ceil(-rest/coef)
-			lowers = append(lowers, Bound{Expr: rest.Scale(-1), Div: coef, Ceil: true})
+			lowers = append(lowers, Bound{Expr: b, Div: coef, Ceil: true})
 		} else {
 			// -coef·v <= rest  →  v <= floor(rest/-coef)
-			uppers = append(uppers, Bound{Expr: rest, Div: -coef, Ceil: false})
+			uppers = append(uppers, Bound{Expr: b, Div: -coef, Ceil: false})
 		}
 	}
 	return lowers, uppers
