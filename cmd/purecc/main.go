@@ -159,6 +159,9 @@ func main() {
 		MemoCapacity:   *memoCap,
 		Stdout:         os.Stdout,
 	}
+	if _, _, err := rt.ParseSchedule(*schedule); err != nil {
+		fatalf("-schedule: %v", err)
+	}
 	if cfg.Combine, err = rt.ParseCombine(*combine); err != nil {
 		fatalf("%v", err)
 	}

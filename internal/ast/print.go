@@ -19,6 +19,22 @@ func Print(f *File) string {
 	return p.b.String()
 }
 
+// PrintPlainC renders the file like Print, but with the pure extension
+// lowered to plain C the way the paper's PC-PosPro step does it: pure
+// pointer qualifiers print as const and the pure function modifier is
+// dropped. The output equals Print after core.StripPure, without
+// modifying the tree.
+func PrintPlainC(f *File) string {
+	p := printer{plainC: true}
+	for i, d := range f.Decls {
+		if i > 0 {
+			p.nl()
+		}
+		p.decl(d)
+	}
+	return p.b.String()
+}
+
 // PrintStmt renders a single statement (used in diagnostics and tests).
 func PrintStmt(s Stmt) string {
 	var p printer
@@ -43,6 +59,7 @@ func PrintType(t *TypeExpr) string {
 type printer struct {
 	b      strings.Builder
 	indent int
+	plainC bool // lower pure to const (PrintPlainC)
 }
 
 func (p *printer) w(s string)                { p.b.WriteString(s) }
@@ -80,7 +97,7 @@ func (p *printer) decl(d Decl) {
 }
 
 func (p *printer) funcDecl(d *FuncDecl) {
-	if d.Pure {
+	if d.Pure && !p.plainC {
 		p.w("pure ")
 	}
 	if d.Static {
@@ -113,10 +130,13 @@ func (p *printer) funcDecl(d *FuncDecl) {
 // typeAndName prints a type followed by an optional declarator name,
 // e.g. "pure int* p" or "float** A".
 func (p *printer) typeAndName(t *TypeExpr, name string) {
-	if t.Pure {
+	switch {
+	case t.Pure && !p.plainC:
 		p.w("pure ")
-	}
-	if t.Const {
+		if t.Const {
+			p.w("const ")
+		}
+	case t.Pure || t.Const:
 		p.w("const ")
 	}
 	if t.Base == Struct {
@@ -133,13 +153,16 @@ func (p *printer) typeAndName(t *TypeExpr, name string) {
 
 // ptrQuals prints the pointer levels of t. A pure qualifier on the
 // outermost level is implied by a leading "pure " (t.Pure) and is not
-// repeated, reproducing the paper's "pure int*" spelling.
+// repeated, reproducing the paper's "pure int*" spelling; lowered to
+// plain C, that level's qualifier is the leading const and every other
+// pure level prints as const.
 func (p *printer) ptrQuals(t *TypeExpr) {
 	for i, q := range t.Ptrs {
-		if q.Pure && !(t.Pure && i == len(t.Ptrs)-1) {
+		pure := q.Pure && !(t.Pure && i == len(t.Ptrs)-1)
+		if pure && !p.plainC {
 			p.w(" pure")
 		}
-		if q.Const {
+		if q.Const || (pure && p.plainC) {
 			p.w(" const")
 		}
 		p.w("*")

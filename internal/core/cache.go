@@ -128,6 +128,9 @@ type ProgramCache struct {
 	// consult it before running the pipeline, and finished builds are
 	// written through to it.
 	disk *DiskCache
+	// onEvict, when set, is called with every key LRU eviction drops,
+	// outside the cache lock.
+	onEvict func(CacheKey)
 }
 
 // DefaultCache is the cache Build and BuildProgram use when Config.Cache
@@ -153,6 +156,26 @@ func (c *ProgramCache) WithDisk(d *DiskCache) *ProgramCache {
 	return c
 }
 
+// OnEvict registers f to be called with every key the LRU eviction
+// drops, so owners of per-program state can release it. f runs outside
+// the cache lock, on the goroutine whose build caused the eviction.
+// Returns c for chaining.
+func (c *ProgramCache) OnEvict(f func(CacheKey)) *ProgramCache {
+	c.mu.Lock()
+	c.onEvict = f
+	c.mu.Unlock()
+	return c
+}
+
+// Contains reports whether key currently has an entry (finished or
+// in flight).
+func (c *ProgramCache) Contains(key CacheKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
 // Disk returns the layered disk cache (nil without one).
 func (c *ProgramCache) Disk() *DiskCache {
 	c.mu.Lock()
@@ -172,13 +195,21 @@ func (c *ProgramCache) build(src string, cfg Config) (*comp.Program, *Artifact, 
 // in-flight build), SourceDisk (restored from the persistent cache,
 // front end skipped) or SourceCompiled (full pipeline).
 func (c *ProgramCache) BuildDetail(src string, cfg Config) (*comp.Program, *Artifact, BuildSource, error) {
+	return c.BuildKeyed(Key(src, cfg), src, cfg)
+}
+
+// BuildKeyed is BuildDetail for a caller that already holds the content
+// address: key must be Key(src, cfg). The daemon computes it once per
+// request (for quotas and headers) and hands it down instead of hashing
+// the source again; both cache layers store the build under key.
+func (c *ProgramCache) BuildKeyed(key CacheKey, src string, cfg Config) (*comp.Program, *Artifact, BuildSource, error) {
 	if cfg.FileName == "" {
 		cfg.FileName = "program.c"
 	}
-	key := cacheKey(src, cfg)
 	c.mu.Lock()
 	disk := c.disk
 	e, hit := c.entries[key]
+	var evicted []CacheKey
 	if hit {
 		c.hits++
 		c.promote(key)
@@ -187,9 +218,15 @@ func (c *ProgramCache) BuildDetail(src string, cfg Config) (*comp.Program, *Arti
 		e = &cacheEntry{}
 		c.entries[key] = e
 		c.order = append(c.order, key)
-		c.evictOver()
+		evicted = c.evictOver()
 	}
+	onEvict := c.onEvict
 	c.mu.Unlock()
+	if onEvict != nil {
+		for _, k := range evicted {
+			onEvict(k)
+		}
+	}
 	e.once.Do(func() {
 		defer e.done.Store(true)
 		if disk != nil {
@@ -248,26 +285,30 @@ func (c *ProgramCache) promote(key CacheKey) {
 }
 
 // evictOver drops least-recently-used finished entries until the cache
-// fits its capacity (caller holds c.mu). Entries whose singleflight
-// build is still running are skipped — evicting them would detach a
-// build other goroutines are waiting on and let a concurrent insert of
-// the same key rerun the pipeline; if only in-flight entries remain the
-// cache temporarily exceeds its capacity instead.
-func (c *ProgramCache) evictOver() {
+// fits its capacity (caller holds c.mu) and returns their keys. Entries
+// whose singleflight build is still running are skipped — evicting them
+// would detach a build other goroutines are waiting on and let a
+// concurrent insert of the same key rerun the pipeline; if only
+// in-flight entries remain the cache temporarily exceeds its capacity
+// instead.
+func (c *ProgramCache) evictOver() []CacheKey {
+	var out []CacheKey
 	for len(c.order) > c.max {
 		evicted := false
 		for i, k := range c.order {
 			if e := c.entries[k]; e != nil && e.done.Load() {
 				delete(c.entries, k)
 				c.order = append(c.order[:i], c.order[i+1:]...)
+				out = append(out, k)
 				evicted = true
 				break
 			}
 		}
 		if !evicted {
-			return
+			break
 		}
 	}
+	return out
 }
 
 // Stats returns the hit/miss counters.

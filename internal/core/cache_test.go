@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -259,5 +260,62 @@ func TestProgramCacheDropsErrors(t *testing.T) {
 	}
 	if _, misses := cache.Stats(); misses != 2 {
 		t.Fatalf("misses = %d, want 2 (error entries must not hit)", misses)
+	}
+}
+
+// TestBuildKeyedStoresUnderGivenKey: the keyed entry point files the
+// build under the key it is handed (both cache layers), and
+// BuildDetail is the same path with the key computed from the request.
+func TestBuildKeyedStoresUnderGivenKey(t *testing.T) {
+	disk, err := NewDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewProgramCache(8).WithDisk(disk)
+	src := "int main(void) { return 0; }"
+	cfg := Config{Parallelize: true}
+	key := Key(src, cfg)
+	if _, _, from, err := cache.BuildKeyed(key, src, cfg); err != nil || from != SourceCompiled {
+		t.Fatalf("first keyed build: %v, %v", from, err)
+	}
+	if !cache.Contains(key) {
+		t.Fatal("keyed build not stored under its key")
+	}
+	if _, ok := disk.Load(src, key, cfg); !ok {
+		t.Fatal("keyed build not written through to disk under its key")
+	}
+	if _, _, from, err := cache.BuildDetail(src, cfg); err != nil || from != SourceMemory {
+		t.Fatalf("BuildDetail after BuildKeyed: %v, %v; want a memory hit", from, err)
+	}
+	// A different key is a different entry, even for the same source.
+	other := Key(src+" ", cfg)
+	if _, _, from, err := cache.BuildKeyed(other, src, cfg); err != nil || from != SourceCompiled {
+		t.Fatalf("build under a second key: %v, %v; want compiled", from, err)
+	}
+	if !cache.Contains(other) || cache.Len() != 2 {
+		t.Fatalf("want entries under both keys, have %d", cache.Len())
+	}
+}
+
+// TestProgramCacheOnEvict: every key LRU eviction drops is reported to
+// the OnEvict hook, once.
+func TestProgramCacheOnEvict(t *testing.T) {
+	var evicted []CacheKey
+	cache := NewProgramCache(2).OnEvict(func(k CacheKey) { evicted = append(evicted, k) })
+	var keys []CacheKey
+	for i := 0; i < 5; i++ {
+		src := fmt.Sprintf("int main(void) { return %d; }", i)
+		keys = append(keys, Key(src, Config{}))
+		if _, _, _, err := cache.BuildDetail(src, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(evicted) != 3 || evicted[0] != keys[0] || evicted[1] != keys[1] || evicted[2] != keys[2] {
+		t.Fatalf("evicted %v, want the three oldest keys", evicted)
+	}
+	for _, k := range evicted {
+		if cache.Contains(k) {
+			t.Fatal("evicted key still cached")
+		}
 	}
 }

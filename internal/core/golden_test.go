@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"purec/internal/apps"
+	astpkg "purec/internal/ast"
 	purecparser "purec/internal/parser"
 	"purec/internal/poly"
 	"purec/internal/preproc"
@@ -247,5 +248,45 @@ func TestGoldenCorpusComplete(t *testing.T) {
 	sort.Strings(missing)
 	if len(missing) > 0 {
 		t.Fatalf("apps sources missing from the golden corpus: %v", missing)
+	}
+}
+
+// TestPrintPlainCMatchesStripPure checks that printing the pure
+// lowering (what Front does, on the tree sema checks) equals lowering
+// the tree in place with StripPure and printing it, on the transformed
+// source of every corpus program plus one exercising every pure
+// spelling.
+func TestPrintPlainCMatchesStripPure(t *testing.T) {
+	srcs := []string{`
+int *const cp;
+pure int* a, *b, **c;
+struct S { pure float* f; int* pure* g; };
+pure int f(pure int* x, int* pure* y, const int* z, int n) {
+    pure int** w = (pure int**)0;
+    return x[0] + n;
+}
+int main(void) { return 0; }
+`}
+	for _, p := range goldenCorpus(t) {
+		art, err := Front(p.src, Config{Parallelize: true, Defines: p.defines})
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		srcs = append(srcs, art.Stages.Transformed)
+	}
+	for i, src := range srcs {
+		f1, err := purecparser.Parse("a.c", src)
+		if err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		f2, _ := purecparser.Parse("a.c", src)
+		StripPure(f2)
+		want := astpkg.Print(f2)
+		if got := astpkg.PrintPlainC(f1); got != want {
+			t.Fatalf("source %d: PrintPlainC differs from StripPure+Print:\n%s\nwant:\n%s", i, got, want)
+		}
+		if astpkg.Print(f1) != src && i > 0 {
+			t.Fatalf("source %d: PrintPlainC modified the tree", i)
+		}
 	}
 }

@@ -304,24 +304,18 @@ func Front(src string, cfg Config) (*Artifact, error) {
 		res.Stages.Transformed = res.Stages.Marked
 	}
 
-	// PC-PosPro: lower pure to plain C and re-insert system includes.
-	lowered, err := parser.Parse(cfg.FileName, res.Stages.Transformed)
-	if err != nil {
-		return nil, fmt.Errorf("internal: transformed source does not reparse: %v", err)
-	}
-	StripPure(lowered)
-	res.Stages.Final = preproc.ReinsertSystemIncludes(ast.Print(lowered), includes)
-
 	// Restart the chain on the generated file: re-parse and re-check so
 	// the Compile step starts from a fresh semantic model. The model
 	// keeps the pure markers (they carry the inlining and vectorization
 	// facts GCC/ICC would rediscover from the const lowering plus static
 	// analysis); Stages.Final is the plain-C artifact the paper's chain
-	// hands to GCC.
+	// hands to GCC: PC-PosPro lowers pure to plain C (printed from the
+	// same tree, which stays unmodified) and re-inserts system includes.
 	finalFile, err := parser.Parse(cfg.FileName, res.Stages.Transformed)
 	if err != nil {
-		return nil, fmt.Errorf("internal: final source does not reparse: %v", err)
+		return nil, fmt.Errorf("internal: transformed source does not reparse: %v", err)
 	}
+	res.Stages.Final = preproc.ReinsertSystemIncludes(ast.PrintPlainC(finalFile), includes)
 	finalInfo, err := sema.Check(finalFile)
 	if err != nil {
 		return nil, fmt.Errorf("internal: final source does not re-check: %v", err)
@@ -469,6 +463,8 @@ func Build(src string, cfg Config) (*Result, error) {
 // qualifiers become const and the pure function modifier is removed —
 // the exact lowering of Sect. 3.2 ("The pointer prefixes are replaced
 // with the const keyword ... we remove the function prefix completely").
+// ast.PrintPlainC prints the same lowering without modifying the tree;
+// Front uses that.
 func StripPure(f *ast.File) {
 	strip := func(t *ast.TypeExpr) {
 		if t == nil {

@@ -114,6 +114,10 @@ type Server struct {
 	slots  chan struct{}
 	queued atomic.Int64
 
+	// mu guards pools and quotas. Both are bounded by the memory
+	// cache: a program's pool goes when the cache evicts it, its quota
+	// counter once no run of it is in flight either (dropProgram,
+	// release).
 	mu     sync.Mutex
 	pools  map[core.CacheKey]*comp.ProcessPool
 	quotas map[core.CacheKey]*atomic.Int64
@@ -167,12 +171,12 @@ func New(opts Options) (*Server, error) {
 	opts.fill()
 	s := &Server{
 		opts:   opts,
-		cache:  core.NewProgramCache(opts.CacheSize),
 		start:  time.Now(),
 		slots:  make(chan struct{}, opts.MaxConcurrent),
 		pools:  map[core.CacheKey]*comp.ProcessPool{},
 		quotas: map[core.CacheKey]*atomic.Int64{},
 	}
+	s.cache = core.NewProgramCache(opts.CacheSize).OnEvict(s.dropProgram)
 	if opts.CacheDir != "" {
 		disk, err := core.NewDiskCache(opts.CacheDir, opts.DiskEntries)
 		if err != nil {
@@ -255,6 +259,9 @@ func (s *Server) config(req *RunRequest) (core.Config, error) {
 	default:
 		return cfg, fmt.Errorf("unknown engine %q (want closure or tape)", req.Options.Engine)
 	}
+	if _, _, err := rt.ParseSchedule(req.Options.Schedule); err != nil {
+		return cfg, err
+	}
 	if req.Options.Cores < 0 || req.Options.Cores > s.opts.MaxCores {
 		return cfg, fmt.Errorf("cores must be in [0,%d]", s.opts.MaxCores)
 	}
@@ -297,9 +304,9 @@ func (s *Server) acquireSlot(w http.ResponseWriter) bool {
 	}
 }
 
-// programState returns the pool and quota counter of a program,
-// creating them on first use.
-func (s *Server) programState(key core.CacheKey, prog *comp.Program, cores int) (*comp.ProcessPool, *atomic.Int64) {
+// pool returns the Process pool of a program, creating it on first
+// use.
+func (s *Server) pool(key core.CacheKey, prog *comp.Program, cores int) *comp.ProcessPool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pool, ok := s.pools[key]
@@ -310,12 +317,50 @@ func (s *Server) programState(key core.CacheKey, prog *comp.Program, cores int) 
 		})
 		s.pools[key] = pool
 	}
+	return pool
+}
+
+// admit counts a run of the program against its quota and returns the
+// counter with the count including this run. The increment happens
+// under s.mu, so a counter that reads 0 there has no holder and may be
+// dropped.
+func (s *Server) admit(key core.CacheKey) (*atomic.Int64, int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	quota, ok := s.quotas[key]
 	if !ok {
 		quota = &atomic.Int64{}
 		s.quotas[key] = quota
 	}
-	return pool, quota
+	return quota, quota.Add(1)
+}
+
+// release ends a run admitted by admit. The last run of a program the
+// memory cache no longer holds (evicted, or a failed build that was
+// never stored) drops the program's pool and quota counter.
+func (s *Server) release(key core.CacheKey, quota *atomic.Int64) {
+	if quota.Add(-1) > 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if quota.Load() == 0 && s.quotas[key] == quota && !s.cache.Contains(key) {
+		delete(s.quotas, key)
+		delete(s.pools, key)
+	}
+}
+
+// dropProgram is the memory cache's eviction hook: the program's pool
+// goes at once (runs holding one of its Processes finish undisturbed),
+// its quota counter only when no run is in flight — otherwise release
+// drops it after the last one.
+func (s *Server) dropProgram(key core.CacheKey) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.pools, key)
+	if q, ok := s.quotas[key]; ok && q.Load() == 0 {
+		delete(s.quotas, key)
+	}
 }
 
 // handleRun serves POST /run: admit, build (cached), draw a pooled
@@ -349,20 +394,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Per-program quota first: rejecting over-quota requests before the
 	// global gate keeps one hot program from starving the queue for
 	// everyone else.
-	s.mu.Lock()
-	quota, ok := s.quotas[key]
-	if !ok {
-		quota = &atomic.Int64{}
-		s.quotas[key] = quota
-	}
-	s.mu.Unlock()
-	if quota.Add(1) > int64(s.opts.PerProgramLimit) {
-		quota.Add(-1)
+	quota, runs := s.admit(key)
+	defer s.release(key, quota)
+	if runs > int64(s.opts.PerProgramLimit) {
 		s.reqs.RejectedQuota.Add(1)
 		jsonError(w, http.StatusTooManyRequests, "per-program run quota (%d) exceeded", s.opts.PerProgramLimit)
 		return
 	}
-	defer quota.Add(-1)
 
 	// Global admission: the slot covers the build too — compilation is
 	// the expensive phase a saturated daemon must bound.
@@ -376,7 +414,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.latency.record(time.Since(start)) }()
 
-	prog, _, source, err := s.cache.BuildDetail(req.Source, cfg)
+	prog, _, source, err := s.cache.BuildKeyed(key, req.Source, cfg)
 	if err != nil {
 		s.reqs.BuildErrors.Add(1)
 		jsonError(w, http.StatusUnprocessableEntity, "build: %v", err)
@@ -392,7 +430,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.opts.NoPool {
 		proc, err = prog.NewProcess(comp.ProcOptions{Team: rt.NewTeam(cores)})
 	} else {
-		pool, _ := s.programState(key, prog, cores)
+		pool := s.pool(key, prog, cores)
 		before := pool.Stats().Reuses
 		proc, err = pool.Get()
 		if err == nil {

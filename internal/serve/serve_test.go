@@ -326,6 +326,9 @@ func TestRunOptionsValidated(t *testing.T) {
 		{Source: "int main(void){return 0;}", Options: RunOptions{Backend: "clang"}},
 		{Source: "int main(void){return 0;}", Options: RunOptions{Engine: "jit"}},
 		{Source: "int main(void){return 0;}", Options: RunOptions{Cores: -1}},
+		{Source: "int main(void){return 0;}", Options: RunOptions{Schedule: "fastest"}},
+		// A schedule that would splice an extra clause into the pragma.
+		{Source: "int main(void){return 0;}", Options: RunOptions{Schedule: "static) private(a"}},
 	} {
 		resp := post(t, ts, req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -392,5 +395,44 @@ func TestStatsEndpoint(t *testing.T) {
 	// The handler serializes the same snapshot the API exposes.
 	if s.StatsSnapshot().Requests.Total != 3 {
 		t.Fatal("StatsSnapshot disagrees with /stats")
+	}
+}
+
+// TestProgramStateBoundedByCache: per-program pools and quota counters
+// live only as long as the memory cache holds the program, so serving
+// many distinct programs (some of which fail to build) keeps the server
+// state within the cache size.
+func TestProgramStateBoundedByCache(t *testing.T) {
+	const cacheSize = 16
+	s, ts := newTestServer(t, Options{CacheSize: cacheSize})
+	for i := 0; i < 300; i++ {
+		src := fmt.Sprintf("int main(void) { printf(\"%%d\\n\", %d); return 0; }", i)
+		want := http.StatusOK
+		if i%10 == 9 {
+			src = fmt.Sprintf("int main(void) { return undefined_%d; }", i)
+			want = http.StatusUnprocessableEntity
+		}
+		resp := post(t, ts, RunRequest{Source: src})
+		body := readBody(t, resp)
+		if resp.StatusCode != want {
+			t.Fatalf("program %d: status %d, want %d: %s", i, resp.StatusCode, want, body)
+		}
+	}
+	st := s.StatsSnapshot()
+	if st.Pool.Programs > cacheSize {
+		t.Fatalf("/stats pool.programs = %d after 300 programs, want <= cache size %d", st.Pool.Programs, cacheSize)
+	}
+	s.mu.Lock()
+	quotas := len(s.quotas)
+	s.mu.Unlock()
+	if quotas > cacheSize {
+		t.Fatalf("%d quota counters after 300 programs, want <= cache size %d", quotas, cacheSize)
+	}
+	// Cached programs keep their pools: a repeat run reuses a Process.
+	src := fmt.Sprintf("int main(void) { printf(\"%%d\\n\", %d); return 0; }", 298)
+	resp := post(t, ts, RunRequest{Source: src})
+	readBody(t, resp)
+	if got := resp.Header.Get("X-Purecd-Pool"); got != "reused" {
+		t.Fatalf("repeat of a cached program: pool %q, want reused", got)
 	}
 }

@@ -11,10 +11,12 @@ package transform
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"purec/internal/ast"
 	"purec/internal/poly"
+	"purec/internal/rt"
 	"purec/internal/scop"
 	"purec/internal/token"
 )
@@ -30,7 +32,9 @@ type Options struct {
 	Skew bool
 	// Schedule is the OpenMP schedule clause to emit: "" (compiler
 	// default, static), "static" or "dynamic,1" (the paper's satellite
-	// fix in Sect. 4.3.3).
+	// fix in Sect. 4.3.3). Anything rt.ParseSchedule rejects makes
+	// Parallelize fail; the pragma carries the parsed form, never the
+	// text itself.
 	Schedule string
 	// MinParallelTrip suppresses the OpenMP pragma on loops whose trip
 	// count is a compile-time constant below this bound — the
@@ -103,9 +107,17 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Parallelize transforms every SCoP in place and returns the report.
+// Parallelize transforms every SCoP in place and returns the report. An
+// invalid Options.Schedule is an error before any SCoP is touched.
 func Parallelize(scops []*scop.SCoP, opts Options) (*Report, error) {
 	rep := &Report{}
+	if opts.Schedule != "" {
+		clause, err := scheduleClause(opts.Schedule)
+		if err != nil {
+			return rep, err
+		}
+		opts.Schedule = clause
+	}
 	for _, sc := range scops {
 		lr, err := transformOne(sc, opts)
 		if err != nil {
@@ -572,6 +584,20 @@ func ompPragma(gen *poly.GenNest, k int, opts Options, sc *scop.SCoP) string {
 		s += " schedule(" + opts.Schedule + ")"
 	}
 	return s
+}
+
+// scheduleClause validates a schedule with rt.ParseSchedule and renders
+// the clause argument from the parsed form ("dynamic,4"), so no caller
+// text is ever spliced into the generated pragma.
+func scheduleClause(s string) (string, error) {
+	kind, chunk, err := rt.ParseSchedule(s)
+	if err != nil {
+		return "", err
+	}
+	if strings.Contains(s, ",") {
+		return kind.String() + "," + strconv.Itoa(chunk), nil
+	}
+	return kind.String(), nil
 }
 
 // boundsExpr folds multiple bounds with imax (lower) or imin (upper).

@@ -117,6 +117,29 @@ func TestScheduleClause(t *testing.T) {
 	}
 }
 
+// Schedules are validated and re-rendered from their parsed form: an
+// invalid one fails Parallelize before any nest changes, and spacing
+// never reaches the pragma.
+func TestScheduleValidated(t *testing.T) {
+	for _, bad := range []string{"static) private(a", "fastest", "dynamic,0", "guided,x"} {
+		info, scops := prep(t, matmulSrc)
+		before := ast.Print(info.File)
+		if _, err := Parallelize(scops, Options{Schedule: bad}); err == nil {
+			t.Fatalf("schedule %q: accepted", bad)
+		}
+		if ast.Print(info.File) != before {
+			t.Fatalf("schedule %q: tree modified despite the error", bad)
+		}
+	}
+	info, scops := prep(t, matmulSrc)
+	if _, err := Parallelize([]*scop.SCoP{mainSCoP(t, scops)}, Options{Schedule: " dynamic , 4 "}); err != nil {
+		t.Fatal(err)
+	}
+	if out := ast.Print(info.File); !strings.Contains(out, "schedule(dynamic,4)") {
+		t.Fatalf("canonical schedule clause missing:\n%s", out)
+	}
+}
+
 func TestTiling(t *testing.T) {
 	info, scops := prep(t, matmulSrc)
 	sc := mainSCoP(t, scops)
