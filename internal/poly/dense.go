@@ -19,9 +19,6 @@ type space struct {
 	names []string
 }
 
-// spaceOf indexes the sorted names vs.
-func spaceOf(vs []string) space { return space{names: vs} }
-
 // col returns the column of name, or -1.
 func (sp space) col(name string) int {
 	i := sort.SearchStrings(sp.names, name)
@@ -37,14 +34,6 @@ type rows struct {
 	w    int
 	data []int64
 }
-
-func newRows(w int) *rows { return &rows{w: w} }
-
-// n returns the row count.
-func (m *rows) n() int { return len(m.data) / m.w }
-
-// row returns row i (aliasing m's storage).
-func (m *rows) row(i int) []int64 { return m.data[i*m.w : (i+1)*m.w : (i+1)*m.w] }
 
 // add appends a zero row and returns it.
 func (m *rows) add() []int64 {
@@ -64,22 +53,19 @@ func (m *rows) addEQ(r []int64) {
 	}
 }
 
-// addAffine appends a as a row (scaled by sign), resolving each
-// variable to its column through col.
-func (m *rows) addAffine(a Affine, sign int64, col func(string) int) []int64 {
-	r := m.add()
+// accum adds sign·a to row r, each variable at column col(v).
+func accum(r []int64, a Affine, sign int64, col func(string) int) {
 	for v, c := range a.Coef {
 		r[col(v)] += sign * c
 	}
-	r[m.w-1] += sign * a.Const
-	return r
+	r[len(r)-1] += sign * a.Const
 }
 
 // addConstraint appends c (an EQ as two rows).
 func (m *rows) addConstraint(c Constraint, col func(string) int) {
-	m.addAffine(c.Expr, 1, col)
+	accum(m.add(), c.Expr, 1, col)
 	if c.Rel == EQ {
-		m.addAffine(c.Expr, -1, col)
+		accum(m.add(), c.Expr, -1, col)
 	}
 }
 

@@ -55,26 +55,27 @@ func AnalyzeDeps(n *Nest) []*Dep {
 // column per iterator (named it$s and it$t) and one column per
 // parameter; a last delta column serves distance queries.
 type depEngine struct {
-	n        *Nest
-	w        int      // row width: columns + constant
-	names    []string // sorted column names (delta excluded)
-	src, dst []int    // column of iterator k on the source / target side
-	delta    int
-	dom      rows         // the domain, a source and a target copy of each constraint
-	domLow   int          // lowest column present in dom (−1 if none)
-	sys      rows         // the system under decision
-	eqs      rows         // subscript equations of the current pair
-	siv      []sivDist    // per-iterator strong-SIV distances of the current pair
-	plain    [2]*verdicts // memo: the domain-only verdicts, without and with the loop-independent system
-	tmp      []int64      // scratch row
-	f        fm
+	n          *Nest
+	w          int      // row width: columns + constant
+	names      []string // sorted column names (delta excluded)
+	src, dst   []int    // column of iterator k on the source / target side
+	delta      int
+	colS, colT func(string) int // variable → column, iterators on each side
+	dom        rows             // the domain, a source and a target copy of each constraint
+	domLow     int              // lowest column present in dom (−1 if none)
+	sys        rows             // the system under decision
+	eqs        rows             // subscript equations of the current pair
+	siv        []sivDist        // per-iterator strong-SIV distances of the current pair
+	plain      *verdicts        // memo: the verdicts of the domain-only system
+	tmp        []int64          // scratch row
+	f          fm
 }
 
-// sivDist is the distance a strong-SIV subscript fixes for one
-// iterator (dst − src).
+// sivDist is the distance (dst − src) a strong-SIV subscript fixes for
+// one iterator.
 type sivDist struct {
-	known, conflict bool
-	d               int64
+	known bool
+	d     int64
 }
 
 // verdicts are the decisions for one base system: the distance vector
@@ -117,18 +118,16 @@ func newDepEngine(n *Nest) *depEngine {
 		e.src[k] = sort.SearchStrings(names, it+"$s")
 		e.dst[k] = sort.SearchStrings(names, it+"$t")
 	}
+	e.colS = func(v string) int { return e.column(v, e.src) }
+	e.colT = func(v string) int { return e.column(v, e.dst) }
 	e.delta = len(names)
 	e.w = len(names) + 2
 	e.siv = make([]sivDist, len(n.Iters))
 	e.tmp = make([]int64, e.w)
 	e.dom = rows{w: e.w, data: make([]int64, 0, 4*len(n.Domain.Cons)*e.w)}
 	for _, c := range n.Domain.Cons {
-		for _, side := range [2][]int{e.src, e.dst} {
-			e.addSide(&e.dom, c.Expr, 1, side)
-			if c.Rel == EQ {
-				e.addSide(&e.dom, c.Expr, -1, side)
-			}
-		}
+		e.dom.addConstraint(c, e.colS)
+		e.dom.addConstraint(c, e.colT)
 	}
 	_, e.domLow = e.dom.scan()
 	e.sys = rows{w: e.w, data: make([]int64, 0, len(e.dom.data)+(4+4*len(n.Iters))*e.w)}
@@ -145,30 +144,14 @@ func contains(vs []string, v string) bool {
 	return false
 }
 
-// addSide adds sign·a to a new row of m, iterators resolved to their
-// columns on the given side, and returns the row.
-func (e *depEngine) addSide(m *rows, a Affine, sign int64, side []int) []int64 {
-	r := m.add()
-	e.accumulate(r, a, sign, side)
-	return r
-}
-
-// accumulate adds sign·a to row r.
-func (e *depEngine) accumulate(r []int64, a Affine, sign int64, side []int) {
-	for v, c := range a.Coef {
-		col := -1
-		for k, it := range e.n.Iters {
-			if it == v {
-				col = side[k]
-				break
-			}
+// column returns the column of variable v, iterators on the given side.
+func (e *depEngine) column(v string, side []int) int {
+	for k, it := range e.n.Iters {
+		if it == v {
+			return side[k]
 		}
-		if col < 0 {
-			col = sort.SearchStrings(e.names, v)
-		}
-		r[col] += sign * c
 	}
-	r[e.w-1] += sign * a.Const
+	return sort.SearchStrings(e.names, v)
 }
 
 // pair appends the dependences with source access a1 in s1 and target
@@ -182,7 +165,7 @@ func (e *depEngine) pair(out []*Dep, s1, s2 *Statement, a1, a2 Access) []*Dep {
 	// constrain the dependence polyhedron: every instance pair that the
 	// ordering admits conflicts conservatively.
 	if a1.Star || a2.Star || !e.equations(a1, a2) {
-		v = e.plainVerdicts(wantIndep)
+		v = e.plainVerdicts()
 	} else {
 		if e.pretest() {
 			return out
@@ -216,8 +199,9 @@ func (e *depEngine) equations(a1, a2 Access) bool {
 	e.eqs.data = e.eqs.data[:0]
 	nontrivial := false
 	for k := range a1.Subs {
-		r := e.addSide(&e.eqs, a1.Subs[k], 1, e.src)
-		e.accumulate(r, a2.Subs[k], -1, e.dst)
+		r := e.eqs.add()
+		accum(r, a1.Subs[k], 1, e.colS)
+		accum(r, a2.Subs[k], -1, e.colT)
 		nontrivial = nontrivial || !constRow(r) || r[e.w-1] != 0
 	}
 	return nontrivial
@@ -249,8 +233,8 @@ func (e *depEngine) pretest() bool {
 		low = eqLow
 	}
 	cst := e.w - 1
-	for i := 0; i < e.eqs.n(); i++ {
-		r := e.eqs.row(i)
+	for off := 0; off < len(e.eqs.data); off += e.w {
+		r := e.eqs.data[off : off+e.w]
 		var g int64
 		for _, c := range r[:cst] {
 			g = gcd(g, c)
@@ -274,35 +258,20 @@ func (e *depEngine) pretest() bool {
 
 // strongSIV records the distance of an equation a·i_s − a·i_t + c = 0
 // (after the source and target sides are collected), i.e. i_t − i_s =
-// c/a; the caller has checked that a divides c. Two such equations on
-// one iterator with different distances leave the iterator undecided
-// here (FM then finds the contradiction).
+// c/a; the caller has checked that a divides c. Any recorded distance
+// stands for rows FM sees too, so when two equations disagree, keeping
+// either is exact.
 func (e *depEngine) strongSIV(r []int64) {
-	k, nz := -1, 0
-	for c, v := range r[:e.w-1] {
-		if v == 0 {
-			continue
-		}
-		nz++
-		if nz == 1 {
-			for j, sc := range e.src {
-				if sc == c {
-					k = j
-				}
-			}
+	nz := 0
+	for _, v := range r[:e.w-1] {
+		if v != 0 {
+			nz++
 		}
 	}
-	if nz != 2 || k < 0 || r[e.src[k]] != -r[e.dst[k]] {
-		return
-	}
-	d := r[e.w-1] / r[e.src[k]]
-	s := &e.siv[k]
-	switch {
-	case s.conflict:
-	case s.known && s.d != d:
-		*s = sivDist{conflict: true}
-	default:
-		s.known, s.d = true, d
+	for k, c := range e.src {
+		if a := r[c]; nz == 2 && a != 0 && r[e.dst[k]] == -a {
+			e.siv[k] = sivDist{known: true, d: r[e.w-1] / a}
+		}
 	}
 }
 
@@ -326,23 +295,15 @@ func (e *depEngine) sivEmpty(l int) bool {
 }
 
 // plainVerdicts returns the verdicts of the domain-only base system,
-// shared by every pair without subscript equations; the
-// loop-independent system is decided once some pair asks for it.
-func (e *depEngine) plainVerdicts(wantIndep bool) *verdicts {
-	if e.plain[1] != nil {
-		return e.plain[1]
-	}
-	i := 0
-	if wantIndep {
-		i = 1
-	}
-	if e.plain[i] == nil {
+// shared by every pair without subscript equations.
+func (e *depEngine) plainVerdicts() *verdicts {
+	if e.plain == nil {
 		e.eqs.data = e.eqs.data[:0]
 		clear(e.siv)
-		v := e.solve(wantIndep)
-		e.plain[i] = &v
+		v := e.solve(true)
+		e.plain = &v
 	}
-	return e.plain[i]
+	return e.plain
 }
 
 // solve decides every carried level and, when wantIndep is set, the
@@ -354,8 +315,8 @@ func (e *depEngine) plainVerdicts(wantIndep bool) *verdicts {
 func (e *depEngine) solve(wantIndep bool) verdicts {
 	sys := &e.sys
 	sys.data = append(sys.data[:0], e.dom.data...)
-	for i := 0; i < e.eqs.n(); i++ {
-		sys.addEQ(e.eqs.row(i))
+	for off := 0; off < len(e.eqs.data); off += e.w {
+		sys.addEQ(e.eqs.data[off : off+e.w])
 	}
 	v := verdicts{dist: make([][]DistEntry, e.n.Depth())}
 	for l := 1; l <= e.n.Depth(); l++ {
@@ -375,9 +336,7 @@ func (e *depEngine) solve(wantIndep bool) verdicts {
 
 // unit returns the scratch row x_a + coef·x_b.
 func (e *depEngine) unit(a, b int, coef int64) []int64 {
-	for k := range e.tmp {
-		e.tmp[k] = 0
-	}
+	clear(e.tmp)
 	e.tmp[a], e.tmp[b] = 1, coef
 	return e.tmp
 }

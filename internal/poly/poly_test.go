@@ -151,8 +151,8 @@ func TestEliminationSoundProperty(t *testing.T) {
 				if !s.Satisfies(env) {
 					continue
 				}
-				for i := 0; i < p.n(); i++ {
-					if r := p.row(i); r[0]*x+r[2] < 0 {
+				for off := 0; off < len(p.data); off += p.w {
+					if r := p.data[off : off+p.w]; r[0]*x+r[2] < 0 {
 						return false
 					}
 				}

@@ -138,8 +138,8 @@ func ceilDiv(a, b int64) int64 {
 
 // dense converts the system to rows over the space of its variables.
 func (s *System) dense() (space, *rows) {
-	sp := spaceOf(s.Vars())
-	m := newRows(len(sp.names) + 1)
+	sp := space{names: s.Vars()}
+	m := &rows{w: len(sp.names) + 1}
 	for _, c := range s.Cons {
 		m.addConstraint(c, sp.col)
 	}
