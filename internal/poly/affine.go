@@ -48,20 +48,31 @@ func (a Affine) Clone() Affine {
 }
 
 // Add returns a+b.
-func (a Affine) Add(b Affine) Affine {
-	r := a.Clone()
-	for k, v := range b.Coef {
-		r.Coef[k] += v
-		if r.Coef[k] == 0 {
-			delete(r.Coef, k)
-		}
+func (a Affine) Add(b Affine) Affine { return a.plus(b, 1) }
+
+// Sub returns a−b.
+func (a Affine) Sub(b Affine) Affine { return a.plus(b, -1) }
+
+// plus returns a + s·b, built in one map sized for both operands.
+func (a Affine) plus(b Affine, s int64) Affine {
+	r := Affine{Coef: make(map[string]int64, len(a.Coef)+len(b.Coef)), Const: a.Const + s*b.Const}
+	for k, v := range a.Coef {
+		r.Coef[k] = v
 	}
-	r.Const += b.Const
+	for k, v := range b.Coef {
+		r.addTerm(k, s*v)
+	}
 	return r
 }
 
-// Sub returns a−b.
-func (a Affine) Sub(b Affine) Affine { return a.Add(b.Scale(-1)) }
+// addTerm adds c·v to a in place (a's map must be its own).
+func (a Affine) addTerm(v string, c int64) {
+	if c += a.Coef[v]; c != 0 {
+		a.Coef[v] = c
+	} else {
+		delete(a.Coef, v)
+	}
+}
 
 // Scale returns s·a.
 func (a Affine) Scale(s int64) Affine {
@@ -86,15 +97,6 @@ func (a Affine) Eval(env map[string]int64) int64 {
 	r := a.Const
 	for k, v := range a.Coef {
 		r += v * env[k]
-	}
-	return r
-}
-
-// Rename returns a copy with every variable v replaced by f(v).
-func (a Affine) Rename(f func(string) string) Affine {
-	r := NewAffine(a.Const)
-	for k, v := range a.Coef {
-		r.Coef[f(k)] += v
 	}
 	return r
 }

@@ -61,12 +61,16 @@ func (s *System) AddEQ(expr Affine) { s.Add(Constraint{Expr: expr, Rel: EQ}) }
 
 // AddLowerBound adds v >= bound.
 func (s *System) AddLowerBound(v string, bound Affine) {
-	s.AddGE(Var(v).Sub(bound))
+	r := bound.Scale(-1)
+	r.addTerm(v, 1)
+	s.AddGE(r)
 }
 
 // AddUpperBound adds v <= bound.
 func (s *System) AddUpperBound(v string, bound Affine) {
-	s.AddGE(bound.Sub(Var(v)))
+	r := bound.Clone()
+	r.addTerm(v, -1)
+	s.AddGE(r)
 }
 
 // Vars returns all variables referenced by the system, sorted.
