@@ -400,24 +400,38 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestProgramStateBoundedByCache: per-program pools and quota counters
 // live only as long as the memory cache holds the program, so serving
-// many distinct programs (some of which fail to build) keeps the server
-// state within the cache size.
+// many distinct programs (some of which fail to build) from concurrent
+// clients keeps the server state within the cache size.
 func TestProgramStateBoundedByCache(t *testing.T) {
-	const cacheSize = 16
-	s, ts := newTestServer(t, Options{CacheSize: cacheSize})
-	for i := 0; i < 300; i++ {
-		src := fmt.Sprintf("int main(void) { printf(\"%%d\\n\", %d); return 0; }", i)
-		want := http.StatusOK
-		if i%10 == 9 {
-			src = fmt.Sprintf("int main(void) { return undefined_%d; }", i)
-			want = http.StatusUnprocessableEntity
-		}
-		resp := post(t, ts, RunRequest{Source: src})
-		body := readBody(t, resp)
-		if resp.StatusCode != want {
-			t.Fatalf("program %d: status %d, want %d: %s", i, resp.StatusCode, want, body)
-		}
+	const cacheSize, clients, programs = 16, 6, 300
+	s, ts := newTestServer(t, Options{CacheSize: cacheSize, MaxConcurrent: 2, QueueDepth: clients})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < programs; i += clients {
+				src := fmt.Sprintf("int main(void) { printf(\"%%d\\n\", %d); return 0; }", i)
+				want := http.StatusOK
+				if i%10 == 9 {
+					src = fmt.Sprintf("int main(void) { return undefined_%d; }", i)
+					want = http.StatusUnprocessableEntity
+				}
+				body, _ := json.Marshal(RunRequest{Source: src})
+				resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Errorf("program %d: status %d, want %d", i, resp.StatusCode, want)
+				}
+			}
+		}(c)
 	}
+	wg.Wait()
 	st := s.StatsSnapshot()
 	if st.Pool.Programs > cacheSize {
 		t.Fatalf("/stats pool.programs = %d after 300 programs, want <= cache size %d", st.Pool.Programs, cacheSize)
@@ -429,10 +443,12 @@ func TestProgramStateBoundedByCache(t *testing.T) {
 		t.Fatalf("%d quota counters after 300 programs, want <= cache size %d", quotas, cacheSize)
 	}
 	// Cached programs keep their pools: a repeat run reuses a Process.
-	src := fmt.Sprintf("int main(void) { printf(\"%%d\\n\", %d); return 0; }", 298)
-	resp := post(t, ts, RunRequest{Source: src})
-	readBody(t, resp)
-	if got := resp.Header.Get("X-Purecd-Pool"); got != "reused" {
-		t.Fatalf("repeat of a cached program: pool %q, want reused", got)
+	src := `int main(void) { printf("again\n"); return 0; }`
+	for _, want := range []string{"fresh", "reused"} {
+		resp := post(t, ts, RunRequest{Source: src})
+		readBody(t, resp)
+		if got := resp.Header.Get("X-Purecd-Pool"); got != want {
+			t.Fatalf("cached program: pool %q, want %q", got, want)
+		}
 	}
 }

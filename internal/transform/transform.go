@@ -427,7 +427,7 @@ func rewriteSkewedBody(sc *scop.SCoP, i, j string, f int64) {
 				X:  &ast.Ident{NamePos: id.Pos(), Name: jNew},
 				Op: token.SUB,
 				Y: &ast.BinaryExpr{
-					X:  &ast.IntLit{Value: f, Text: fmt.Sprintf("%d", f)},
+					X:  &ast.IntLit{Value: f, Text: strconv.FormatInt(f, 10)},
 					Op: token.MUL,
 					Y:  &ast.Ident{NamePos: id.Pos(), Name: i},
 				},
@@ -629,7 +629,7 @@ func boundExpr(b poly.Bound) ast.Expr {
 		fn = "ceild"
 	}
 	return &ast.CallExpr{Fun: &ast.Ident{Name: fn}, Args: []ast.Expr{
-		e, &ast.IntLit{Value: b.Div, Text: fmt.Sprintf("%d", b.Div)},
+		e, &ast.IntLit{Value: b.Div, Text: strconv.FormatInt(b.Div, 10)},
 	}}
 }
 
@@ -660,9 +660,9 @@ func affineExpr(a poly.Affine) ast.Expr {
 		case c == -1:
 			add(id, true)
 		case c > 0:
-			add(&ast.BinaryExpr{X: &ast.IntLit{Value: c, Text: fmt.Sprintf("%d", c)}, Op: token.MUL, Y: id}, false)
+			add(&ast.BinaryExpr{X: &ast.IntLit{Value: c, Text: strconv.FormatInt(c, 10)}, Op: token.MUL, Y: id}, false)
 		default:
-			add(&ast.BinaryExpr{X: &ast.IntLit{Value: -c, Text: fmt.Sprintf("%d", -c)}, Op: token.MUL, Y: id}, true)
+			add(&ast.BinaryExpr{X: &ast.IntLit{Value: -c, Text: strconv.FormatInt(-c, 10)}, Op: token.MUL, Y: id}, true)
 		}
 	}
 	if a.Const != 0 || out == nil {
@@ -671,7 +671,7 @@ func affineExpr(a poly.Affine) ast.Expr {
 		if neg {
 			v = -v
 		}
-		add(&ast.IntLit{Value: v, Text: fmt.Sprintf("%d", v)}, neg)
+		add(&ast.IntLit{Value: v, Text: strconv.FormatInt(v, 10)}, neg)
 	}
 	return out
 }
