@@ -34,8 +34,11 @@ func nestsOf(b *testing.B, src string, defines map[string]string) []*poly.Nest {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := scop.DetectWith(info, purity.Check(info), scop.Options{
-		AllowPureCalls: true, Aliases: vra.Analyze(info).Alias})
+	var oracle scop.AliasOracle
+	if a := vra.Analyze(info).Alias; a != nil {
+		oracle = a
+	}
+	res := scop.DetectWith(info, purity.Check(info), scop.Options{AllowPureCalls: true, Aliases: oracle})
 	var out []*poly.Nest
 	for _, sc := range res.SCoPs {
 		out = append(out, sc.Nest)
